@@ -107,8 +107,10 @@ bench: bench-smoke
 # with origin/main and reports per-benchmark deltas (benchstat when
 # installed, plain diff otherwise). Timing deltas are advisory — 1x
 # runs on shared runners are too noisy to gate on — but allocs/op is
-# deterministic, so a >10% allocs/op regression on BenchmarkKernel or
-# BenchmarkOutOfCore fails the target, and CI runs it blocking.
+# deterministic, so a >10% allocs/op regression on BenchmarkKernel,
+# BenchmarkOutOfCore, BenchmarkMultiCFDSeqVsPar (the in-process
+# sub-benchmarks, not the Remote variant) or BenchmarkDetectorServe
+# fails the target, and CI runs it blocking.
 bench-compare:
 	@sh scripts/bench_compare.sh
 

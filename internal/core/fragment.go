@@ -37,6 +37,10 @@ type siteFragment interface {
 	// sharing the fragment's dictionaries (IDs stay valid, merely
 	// sparse) so downstream checks keep the fragment's interning.
 	ProjectRows(name string, attrs []string, rows []int) (*relation.Relation, error)
+	// ColumnDict returns the dictionary ProjectRows extracts of attr
+	// share, or nil when the fragment has no such attribute. Its
+	// identity changes whenever the column's value set may have.
+	ColumnDict(attr string) (*relation.Dict, error)
 	// Scan streams every tuple in row order. The callback must not
 	// retain t — implementations may reuse the buffer between calls
 	// (the strings themselves are stable).
@@ -86,6 +90,15 @@ func (m memFrag) AssignAll(spec *BlockSpec) ([]int, []int, error) {
 
 func (m memFrag) ProjectRows(name string, attrs []string, rows []int) (*relation.Relation, error) {
 	return m.r.ProjectRows(name, attrs, rows)
+}
+
+func (m memFrag) ColumnDict(attr string) (*relation.Dict, error) {
+	i, ok := m.r.Schema().Index(attr)
+	if !ok {
+		return nil, nil
+	}
+	_, d := m.r.Encoded().Column(i)
+	return d, nil
 }
 
 func (m memFrag) Scan(fn func(relation.Tuple) error) error {

@@ -223,6 +223,11 @@ type Site struct {
 	kern         engine.Kernel
 	intraWorkers int
 
+	// merge is the coordinator's ID space for uniting local blocks with
+	// deposits: translations of the senders' dictionaries are built once
+	// per dictionary version and reused across runs.
+	merge *relation.MergeSpace
+
 	mu        sync.Mutex
 	deposits  map[string][]*relation.Relation
 	cancelled map[string]struct{}
@@ -523,7 +528,7 @@ func (s *Site) DetectAssignedSingle(ctx context.Context, taskPrefix string, spec
 		if err != nil {
 			return nil, err
 		}
-		merged, err := mergeWithDeposits(local, s.takeDeposits(BlockTask(taskPrefix, l)))
+		merged, err := s.mergeWithDeposits(local, s.takeDeposits(BlockTask(taskPrefix, l)))
 		if err != nil {
 			return nil, err
 		}
@@ -570,7 +575,7 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 		if err != nil {
 			return nil, err
 		}
-		merged, err := mergeWithDeposits(local, s.takeDeposits(BlockTask(taskPrefix, l)))
+		merged, err := s.mergeWithDeposits(local, s.takeDeposits(BlockTask(taskPrefix, l)))
 		if err != nil {
 			return nil, err
 		}
@@ -586,12 +591,11 @@ func (s *Site) DetectAssignedSet(ctx context.Context, taskPrefix string, spec *B
 }
 
 // mergeWithDeposits unions the local block with the shipped batches.
-// Concat derives the merged relation's encoded columns from the parts'
-// (the local extract and every deposit arrive already encoded), so the
-// coordinator's check stays in ID space end-to-end. Arity mismatches
-// between local and shipped projections surface here, as they did when
-// the batches were appended.
-func mergeWithDeposits(local *relation.Relation, deps []*relation.Relation) (*relation.Relation, error) {
+// The merge runs in the site's merge space, so the coordinator's check
+// stays in ID space end-to-end and, in steady state, hashes no strings.
+// Arity mismatches between local and shipped projections surface here,
+// as they did when the batches were appended.
+func (s *Site) mergeWithDeposits(local *relation.Relation, deps []*relation.Relation) (*relation.Relation, error) {
 	if len(deps) == 0 {
 		return local, nil
 	}
@@ -599,15 +603,32 @@ func mergeWithDeposits(local *relation.Relation, deps []*relation.Relation) (*re
 		// One shipped part and nothing local: check the deposit directly.
 		// A wire v6 deposit then stays in its packed-backed form — the
 		// kernel streams its chunks through the reader path without ever
-		// materializing columns. (Concat of a single empty-plus-one pair
-		// would produce the same rows under fresh dense dicts; the kernel
-		// output is value-determined, so both forms check identically.)
+		// materializing columns. The kernel output is value-determined,
+		// so this checks identically to a merged copy.
 		return deps[0], nil
 	}
 	parts := make([]*relation.Relation, 0, len(deps)+1)
 	parts = append(parts, local)
 	parts = append(parts, deps...)
-	return relation.Concat(parts...)
+	return s.mergeParts(parts)
+}
+
+// mergeParts unites parts (at least one) in the site's merge space,
+// anchored on the fragment's dictionaries for parts[0]'s attributes.
+func (s *Site) mergeParts(parts []*relation.Relation) (*relation.Relation, error) {
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	attrs := parts[0].Schema().Attrs()
+	anchors := make([]*relation.Dict, len(attrs))
+	for j, a := range attrs {
+		d, err := s.frag.ColumnDict(a)
+		if err != nil {
+			return nil, err
+		}
+		anchors[j] = d
+	}
+	return s.merge.Merge(anchors, parts...)
 }
 
 // appendDistinct appends pats rows not already recorded in seen.
@@ -763,7 +784,7 @@ func (s *Site) DetectTask(ctx context.Context, task string, local LocalInput, cf
 				s.id, task, working.Schema().Arity(), p.Schema().Arity())
 		}
 	}
-	merged, err := relation.Concat(parts...)
+	merged, err := s.mergeParts(parts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"distcfd/internal/cfd"
+	"distcfd/internal/partition"
 	"distcfd/internal/relation"
 )
 
@@ -233,5 +236,75 @@ func TestClusterConstruction(t *testing.T) {
 	}
 	if _, err := NewCluster(s, nil); err == nil {
 		t.Error("empty cluster accepted")
+	}
+}
+
+// TestMergeSpaceReanchorsAfterApply runs detection, then applies a
+// delta whose inserts grow every fragment's dictionaries, and checks
+// that the next run rebuilds translations against the new dictionaries
+// and still reports exactly the oracle's patterns over the assembled
+// instance.
+func TestMergeSpaceReanchorsAfterApply(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(12))
+	d := randomRelation(rng, 80)
+	h, err := partition.Uniform(d, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := FromHorizontal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfd.MustParse(`m: [a, b] -> [c]`)
+	check := func(label string) {
+		t.Helper()
+		all := relation.New(cl.Schema())
+		for i := 0; i < cl.N(); i++ {
+			for _, tp := range cl.Site(i).(*Site).Fragment().Tuples() {
+				all.MustAppend(tp)
+			}
+		}
+		vio, err := cfd.NaiveViolations(all, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oraclePatterns(t, all, c, vio)
+		for _, algo := range []Algorithm{CTRDetect, PatDetectS, PatDetectRT} {
+			res, err := DetectSingle(cl, c, algo, Options{})
+			if err != nil {
+				t.Fatalf("%s %v: %v", label, algo, err)
+			}
+			if got := patternsOf(res.Patterns); !sameSet(got, want) {
+				t.Fatalf("%s %v:\n got %v\nwant %v", label, algo, keys(got), keys(want))
+			}
+		}
+	}
+	check("before apply")
+	builds := func() int {
+		n := 0
+		for i := 0; i < cl.N(); i++ {
+			n += cl.Site(i).(*Site).merge.Stats().Builds
+		}
+		return n
+	}
+	before := builds()
+	if before == 0 {
+		t.Fatal("no site merged anything; the fixture does not exercise the merge space")
+	}
+	// New values in every column of every fragment: each fragment
+	// dictionary chains a new layer, so every union must re-anchor.
+	for i := 0; i < cl.N(); i++ {
+		ins := []relation.Tuple{
+			{fmt.Sprintf("n%d", i), "a9", "b9", "c9", "d9"},
+			{fmt.Sprintf("m%d", i), "a9", "b9", fmt.Sprintf("c%d", 7+i), "d9"},
+		}
+		if _, err := cl.ApplyDelta(ctx, i, relation.Delta{Inserts: ins, Deletes: []int{0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after apply")
+	if builds() <= before {
+		t.Error("no translation rebuilt after the fragment dictionaries changed")
 	}
 }

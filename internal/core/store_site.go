@@ -14,6 +14,7 @@ func newSiteWith(id int, frag siteFragment, pred relation.Predicate) *Site {
 		cancelled: make(map[string]struct{}),
 		nonces:    make(map[string]struct{}),
 		sessions:  make(map[string]*foldSession),
+		merge:     relation.NewMergeSpace(),
 	}
 }
 

@@ -117,6 +117,14 @@ func (f *storeFrag) ovDict(j int) (*relation.Dict, error) {
 	return f.frag.Dict(j)
 }
 
+func (f *storeFrag) ColumnDict(attr string) (*relation.Dict, error) {
+	j, ok := f.schema.Index(attr)
+	if !ok {
+		return nil, nil
+	}
+	return f.ovDict(j)
+}
+
 // ref resolves row i to its storage reference.
 func (f *storeFrag) ref(i int) uint32 {
 	if f.view != nil {

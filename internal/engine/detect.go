@@ -193,7 +193,10 @@ func (sc *detectScratch) detectUnit(d *relation.Relation, n *cfd.Normalized, wor
 	workers = shardCount(workers, rows)
 
 	// Resolve the pattern's constants against each column's dictionary;
-	// a constant the fragment never interned matches no tuple at all.
+	// a constant the relation does not hold matches no tuple at all. A
+	// dictionary shared with a larger source (an extract, a merged
+	// block) can know a constant its rows lack, so presence is asked of
+	// the column (Holds), not the dictionary.
 	var consts []constCol
 	var varCols [][]uint32
 	for j, p := range n.TpX {
@@ -204,7 +207,7 @@ func (sc *detectScratch) detectUnit(d *relation.Relation, n *cfd.Normalized, wor
 		}
 		col, dict := e.Column(xi[j])
 		id, ok := dict.Lookup(p)
-		if !ok {
+		if !ok || !e.Holds(xi[j], id) {
 			return nil
 		}
 		consts = append(consts, constCol{col: col, id: id})

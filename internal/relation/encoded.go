@@ -26,7 +26,7 @@ import (
 // Relation.Encoded.
 type Encoded struct {
 	// tuples is the snapshot the view was built from; nil for views over
-	// lazy relations (ProjectRows/Concat/FromColumns/FromSharedColumns
+	// lazy relations (ProjectRows/Merge/FromColumns/FromSharedColumns
 	// extracts), which pre-build every column, so the tuple fallback in
 	// Column is never needed there. rows carries the count explicitly.
 	tuples []Tuple
@@ -51,6 +51,10 @@ type Encoded struct {
 	// their source's dictionary instead of re-interning — IDs stay
 	// valid but sparse — and compaction is deferred to the wire.
 	dense []bool
+	// present[i], built on first use by Holds, is a bitset over column
+	// i's dictionary marking the IDs the column uses; nil until then
+	// (present itself stays nil until any column needs one).
+	present [][]uint64
 }
 
 func newEncoded(tuples []Tuple, arity int) *Encoded {
@@ -169,6 +173,43 @@ func (e *Encoded) Column(i int) ([]uint32, *Dict) {
 	return e.cols[i], e.dicts[i]
 }
 
+// Holds reports whether column i contains id. A dense column's
+// dictionary holds exactly its values, so there a dictionary hit is
+// enough; a sparse column (sharing a larger dictionary, as extracts and
+// merged blocks do) answers from a bitset of the IDs it uses, built on
+// first use. The detection kernel asks before scanning for a pattern
+// constant, so a constant absent from a block costs no scan.
+func (e *Encoded) Holds(i int, id uint32) bool {
+	col, dict := e.Column(i)
+	e.mu.RLock()
+	dense := e.dense[i]
+	var bits []uint64
+	if e.present != nil {
+		bits = e.present[i]
+	}
+	e.mu.RUnlock()
+	if dense {
+		return int(id) < dict.Len()
+	}
+	if bits == nil {
+		bits = make([]uint64, (dict.Len()+63)>>6)
+		for _, v := range col {
+			bits[v>>6] |= 1 << (v & 63)
+		}
+		e.mu.Lock()
+		if e.present == nil {
+			e.present = make([][]uint64, e.arity)
+		}
+		if e.present[i] == nil {
+			e.present[i] = bits
+		} else {
+			bits = e.present[i]
+		}
+		e.mu.Unlock()
+	}
+	return int(id>>6) < len(bits) && bits[id>>6]&(1<<(id&63)) != 0
+}
+
 // PayloadSizes models the two wire forms of the relation: raw is the
 // row-oriented payload (value bytes plus one separator byte per value),
 // encoded the columnar form (each column's compacted dictionary
@@ -270,11 +311,12 @@ func (r *Relation) invalidateEncoding() {
 	r.packed.Store(nil)
 }
 
-// remapper re-encodes one source column's IDs into a fresh dense
-// dictionary: each distinct source ID hashes its value exactly once,
-// every further occurrence is a table or integer-map access. Small
-// inputs over large source dictionaries use a map so the remap never
-// allocates proportionally to a dictionary they barely touch.
+// remapper re-encodes one source column's IDs into dst — a fresh dense
+// dictionary for the wire form, an overlay over a union for a merge:
+// each distinct source ID hashes its value exactly once, every further
+// occurrence is a table or integer-map access. Small inputs over large
+// source dictionaries use a map so the remap never allocates
+// proportionally to a dictionary they barely touch.
 type remapper struct {
 	dst     *Dict
 	table   []uint32 // table mode: src id -> dst id
@@ -334,44 +376,6 @@ func (r *Relation) ProjectRows(name string, attrs []string, rows []int) (*Relati
 			col[k] = srcCol[i]
 		}
 		enc.cols[j], enc.dicts[j] = col, srcDict
-	}
-	out.enc.Store(enc)
-	return out, nil
-}
-
-// Concat returns a relation holding every part's tuples in order under
-// parts[0]'s schema (parts must share its arity, like AppendAll), with
-// the encoded view derived by remapping each part's columns into
-// shared dictionaries — already-encoded parts contribute no per-cell
-// hashing, so merging shipped blocks stays in ID space.
-func Concat(parts ...*Relation) (*Relation, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("relation: Concat with no inputs")
-	}
-	schema := parts[0].schema
-	total := 0
-	for _, p := range parts {
-		if p.schema.Arity() != schema.Arity() {
-			return nil, fmt.Errorf("relation: cannot concat %s (arity %d) with %s (arity %d)",
-				p.schema.Name(), p.schema.Arity(), schema.Name(), schema.Arity())
-		}
-		total += p.Len()
-	}
-	out := New(schema)
-	out.lazy = &lazyTuples{rows: total}
-	enc := newEncoded(nil, schema.Arity())
-	enc.rows = total
-	for j := 0; j < schema.Arity(); j++ {
-		d := NewDict()
-		col := make([]uint32, 0, total)
-		for _, p := range parts {
-			pcol, pdict := p.Encoded().Column(j)
-			rm := newRemapper(d, pdict, len(pcol))
-			for _, id := range pcol {
-				col = append(col, rm.remap(pdict, id))
-			}
-		}
-		enc.cols[j], enc.dicts[j], enc.dense[j] = col, d, true
 	}
 	out.enc.Store(enc)
 	return out, nil

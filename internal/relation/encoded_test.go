@@ -153,40 +153,98 @@ func TestProjectRows(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
+// TestMergeSpaceMerge checks a merge's rows and encoding. The parts
+// come from three different source dictionaries — the anchored local
+// one, a foreign fragment's that numbers the shared values the other
+// way round, and a wire-shaped one — so ID equality must track value
+// equality across dictionary boundaries, not just part boundaries.
+func TestMergeSpaceMerge(t *testing.T) {
 	r := encTestRelation()
 	a, err := r.ProjectRows("A", []string{"a", "b"}, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.ProjectRows("B", []string{"a", "b"}, []int{3, 4})
+	foreign := MustFromRows(r.Schema(),
+		[]string{"x2", "v", "p"},
+		[]string{"x1", "u", "q"},
+		[]string{"x9", "w", "q"},
+	)
+	b, err := foreign.ProjectRows("B", []string{"a", "b"}, []int{1, 0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Concat(a, b)
+	c, err := FromColumns(a.Schema(), [][]string{{"x3", "x1"}, {"u"}}, [][]uint32{{0, 1}, {0, 0}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchors := make([]*Dict, 2)
+	for j := range anchors {
+		_, anchors[j] = r.Encoded().Column(j)
+	}
+	out, err := NewMergeSpace().Merge(anchors, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := MustFromRows(a.Schema(),
-		[]string{"x1", "u"}, []string{"x2", "u"}, []string{"x1", "v"}, []string{"x2", "u"})
+		[]string{"x1", "u"}, []string{"x2", "u"},
+		[]string{"x1", "u"}, []string{"x2", "v"}, []string{"x9", "w"},
+		[]string{"x3", "u"}, []string{"x1", "u"})
 	if !out.SameTuples(want) {
-		t.Fatalf("Concat = %v", out)
+		t.Fatalf("Merge = %v", out)
 	}
-	// The merged view is densely re-encoded: id equality must track
-	// value equality across part boundaries.
-	col, dict := out.Encoded().Column(0)
-	if dict.Len() != 2 {
-		t.Errorf("merged dict has %d values, want 2", dict.Len())
+	for j := 0; j < 2; j++ {
+		col, dict := out.Encoded().Column(j)
+		for i := range col {
+			// Merged columns are sparse over the union dictionary, so
+			// check every ID in use decodes to its row's value instead of
+			// the dictionary's size.
+			if got := dict.Val(col[i]); got != want.Tuple(i)[j] {
+				t.Errorf("col %d row %d decodes to %q, want %q", j, i, got, want.Tuple(i)[j])
+			}
+			for k := range col {
+				if (col[i] == col[k]) != (want.Tuple(i)[j] == want.Tuple(k)[j]) {
+					t.Errorf("col %d: id equality diverges from value equality at rows %d,%d", j, i, k)
+				}
+			}
+		}
+		// The local part maps by identity.
+		if acol, _ := a.Encoded().Column(j); col[0] != acol[0] || col[1] != acol[1] {
+			t.Errorf("col %d: local ids %v not kept (got %v)", j, acol, col[:2])
+		}
 	}
-	if col[0] != col[2] || col[1] != col[3] || col[0] == col[1] {
-		t.Errorf("merged ids %v do not track values", col)
-	}
-	if _, err := Concat(); err == nil {
-		t.Error("Concat of nothing should fail")
+	if _, err := NewMergeSpace().Merge(anchors); err == nil {
+		t.Error("Merge of nothing should fail")
 	}
 	s1 := MustSchema("S1", []string{"a"})
-	if _, err := Concat(a, New(s1)); err == nil {
+	if _, err := NewMergeSpace().Merge(anchors, a, New(s1)); err == nil {
 		t.Error("arity mismatch should fail")
+	}
+}
+
+// TestHoldsSparseAndDense: a sparse extract shares a dictionary that
+// knows values its rows lack; Holds must answer for the rows.
+func TestHoldsSparseAndDense(t *testing.T) {
+	r := encTestRelation()
+	out, err := r.ProjectRows("P", []string{"a"}, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := out.Encoded()
+	_, dict := e.Column(0)
+	for v, want := range map[string]bool{"x1": true, "x2": true, "x3": false} {
+		id, ok := dict.Lookup(v)
+		if !ok {
+			t.Fatalf("shared dictionary lacks %q", v)
+		}
+		if got := e.Holds(0, id); got != want {
+			t.Errorf("sparse Holds(%q) = %v, want %v", v, got, want)
+		}
+	}
+	// A dense column's dictionary is exactly its values.
+	full := r.Encoded()
+	_, fdict := full.Column(0)
+	if id, _ := fdict.Lookup("x3"); !full.Holds(0, id) {
+		t.Error("dense Holds(x3) = false")
 	}
 }
 

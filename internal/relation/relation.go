@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -252,14 +252,13 @@ func (r *Relation) SortBy(attrs ...string) error {
 		return err
 	}
 	r.materializeForWrite()
-	sort.SliceStable(r.tuples, func(a, b int) bool {
-		ta, tb := r.tuples[a], r.tuples[b]
+	slices.SortStableFunc(r.tuples, func(ta, tb Tuple) int {
 		for _, j := range idx {
-			if ta[j] != tb[j] {
-				return ta[j] < tb[j]
+			if c := strings.Compare(ta[j], tb[j]); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	r.invalidateEncoding()
 	return nil

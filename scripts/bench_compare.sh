@@ -12,8 +12,12 @@
 #
 # Timing deltas are advisory (1x runs are noisy), but allocs/op is
 # deterministic: a >10% allocs/op regression on a gated benchmark
-# (BenchmarkKernel, BenchmarkOutOfCore) exits 1, and CI wires the
-# target in as a blocking step. Benchmarks absent from the baseline
+# (BenchmarkKernel, BenchmarkOutOfCore, the in-process
+# BenchmarkMultiCFDSeqVsPar sub-benchmarks, BenchmarkDetectorServe)
+# exits 1, and CI wires the target in as a blocking step. The two
+# end-to-end benches are gated so allocation drift across the whole
+# detection path fails CI, not only drift inside the kernel; their 1x
+# allocs/op repeat to within a fraction of a percent. Benchmarks absent from the baseline
 # (renamed or newly added) are skipped, so the gate degrades
 # gracefully across restructurings.
 set -e
@@ -70,10 +74,10 @@ else
     grep '^Benchmark' "$OUT_DIR/new.txt" | sed 's/^/NEW  /' || true
 fi
 
-echo "== bench-compare: allocs/op gate (BenchmarkKernel, BenchmarkOutOfCore; >10% fails)"
+echo "== bench-compare: allocs/op gate (BenchmarkKernel, BenchmarkOutOfCore, BenchmarkMultiCFDSeqVsPar, BenchmarkDetectorServe; >10% fails)"
 if ! awk '
     FNR == 1 { f++ }
-    /^Benchmark(Kernel|OutOfCore)/ {
+    /^Benchmark(Kernel|OutOfCore|MultiCFDSeqVsPar\/|DetectorServe)/ {
         v = ""
         for (i = 2; i < NF; i++) if ($(i + 1) == "allocs/op") v = $i
         if (v == "") next
