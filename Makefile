@@ -59,14 +59,14 @@ chaos:
 # deadline and backpressure suites under the race detector — 32
 # concurrent Detect sessions against draining and overloaded sites,
 # retry-after-vs-deadline budgeting, the drain RPC over loopback TCP,
-# and the v6-peer fallback. Same seed convention as chaos: printed
-# before the run, replayed exactly with
+# and the dial-time rejection of a v6 peer. Same seed convention as
+# chaos: printed before the run, replayed exactly with
 #   DISTCFD_CHAOS_SEED=<seed> make chaos-load
 chaos-load:
 	@seed=$${DISTCFD_CHAOS_SEED:-$$(date +%s)}; \
 	echo "== chaos-load (DISTCFD_CHAOS_SEED=$$seed)"; \
 	DISTCFD_CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-		-run 'ChaosLoad|Admission|Overload|Drain|Deadline|SleepCtx|Breaker|EnvelopeRetryAfter|EnvelopeParamFree|V6Fallback|WorkCtx|Ping' \
+		-run 'ChaosLoad|Admission|Overload|Drain|Deadline|SleepCtx|Breaker|EnvelopeRetryAfter|EnvelopeParamFree|V6Peer|WorkCtx|Ping' \
 		./internal/core/ ./internal/remote/ ./internal/faulty/
 
 build:
@@ -109,8 +109,9 @@ bench: bench-smoke
 # runs on shared runners are too noisy to gate on — but allocs/op is
 # deterministic, so a >10% allocs/op regression on BenchmarkKernel,
 # BenchmarkOutOfCore, BenchmarkMultiCFDSeqVsPar (the in-process
-# sub-benchmarks, not the Remote variant) or BenchmarkDetectorServe
-# fails the target, and CI runs it blocking.
+# sub-benchmarks, not the Remote variant), BenchmarkDetectorServe,
+# BenchmarkAblationAdmission or BenchmarkIncrementalDetect fails the
+# target, and CI runs it blocking.
 bench-compare:
 	@sh scripts/bench_compare.sh
 

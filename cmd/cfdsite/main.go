@@ -162,16 +162,9 @@ func main() {
 		})
 		api = adm
 	}
+	// Both wrapper layers forward Close to the site they currently wrap.
 	defer func() {
-		inner := api
-		for {
-			w, ok := inner.(interface{ Inner() core.SiteAPI })
-			if !ok {
-				break
-			}
-			inner = w.Inner()
-		}
-		if c, ok := inner.(interface{ Close() error }); ok {
+		if c, ok := api.(interface{ Close() error }); ok {
 			c.Close()
 		}
 	}()

@@ -162,7 +162,7 @@ func (cl *Cluster) ship(ctx context.Context, fs *faultState, m *dist.Metrics, fr
 		return nil
 	}
 	nonce := cl.newTask("dep")
-	if err := cl.callSite(ctx, fs, to, true, func(ctx context.Context) error {
+	if err := cl.callSite(ctx, fs, to, OpDeposit, func(ctx context.Context) error {
 		return cl.sites[to].Deposit(ctx, task, batch, nonce)
 	}); err != nil {
 		return err
@@ -183,7 +183,7 @@ func (cl *Cluster) shipDelta(ctx context.Context, fs *faultState, m *dist.Metric
 		return nil
 	}
 	nonce := cl.newTask("dep")
-	if err := cl.callSite(ctx, fs, to, true, func(ctx context.Context) error {
+	if err := cl.callSite(ctx, fs, to, OpDeposit, func(ctx context.Context) error {
 		return cl.sites[to].Deposit(ctx, task, batch, nonce)
 	}); err != nil {
 		return err

@@ -545,13 +545,14 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // callSite invokes one site operation under the run's failure policy:
 // per-call retries with capped exponential backoff and jitter for
 // transient failures, circuit-breaker gating, and site attribution of
-// the final error. idem marks operations safe to re-issue even when a
-// failed attempt may have executed — pure reads, and the nonce-deduped
-// mutations (Deposit/ApplyDelta); non-idempotent operations (the
-// Detect* family, which consumes deposits) are retried only while
+// the final error. op names the operation fn performs; the op table
+// says whether it is safe to retry even when a failed attempt may
+// have executed — pure reads, and the nonce-deduped mutations
+// (Deposit/ApplyDelta). Non-idempotent operations (the Detect* family
+// and FoldDetect, which consume deposits) are retried only while
 // failures provably happened before execution. With a nil or FailFast
 // fs this is exactly a plain call.
-func (cl *Cluster) callSite(ctx context.Context, fs *faultState, site int, idem bool, fn func(context.Context) error) error {
+func (cl *Cluster) callSite(ctx context.Context, fs *faultState, site int, op Op, fn func(context.Context) error) error {
 	if !fs.active() {
 		return fn(ctx)
 	}
@@ -613,7 +614,7 @@ func (cl *Cluster) callSite(ctx context.Context, fs *faultState, site int, idem 
 		b.observe(false)
 		fs.countFault(site)
 		last = err
-		if !idem && !preExecution(err) {
+		if !op.Idempotent() && !preExecution(err) {
 			// The call may have executed; a blind re-issue could
 			// double-consume deposits. Escalate to the unit level.
 			break

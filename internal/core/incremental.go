@@ -90,7 +90,7 @@ func runIncrementalPipeline(ctx context.Context, cl *Cluster, fs *faultState, sp
 			lstat[i] = make([]int, spec.K())
 			return nil
 		}
-		return cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
+		return cl.callSite(ctx, fs, i, OpSigmaStats, func(ctx context.Context) error {
 			s, err := cl.sites[i].SigmaStats(ctx, spec)
 			if err != nil {
 				return err
@@ -185,7 +185,7 @@ func (st *unitInc) dataRound(ctx context.Context, cl *Cluster, fs *faultState, s
 					wanted = append(wanted, l)
 				}
 			}
-			return cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
+			return cl.callSite(ctx, fs, i, OpExtractDeltaBlocks, func(ctx context.Context) error {
 				rep, err := cl.sites[i].ExtractDeltaBlocks(ctx, spec, attrs, wanted, fromGen(i))
 				if err != nil {
 					return err
@@ -291,7 +291,7 @@ func (st *unitInc) dataRound(ctx context.Context, cl *Cluster, fs *faultState, s
 		// Folding consumes deposits and mutates the session's retained
 		// states: not idempotent, so only provably-unexecuted failures
 		// retry in place; the rest reseed via the round-level retry.
-		return cl.callSite(ctx, fs, j, false, func(ctx context.Context) error {
+		return cl.callSite(ctx, fs, j, OpFoldDetect, func(ctx context.Context) error {
 			rep, err := cl.sites[j].FoldDetect(ctx, FoldArgs{
 				Session:        st.session,
 				Spec:           spec,

@@ -61,7 +61,7 @@ func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *Bl
 			lstat[i] = make([]int, spec.K())
 			return nil
 		}
-		return cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
+		return cl.callSite(ctx, fs, i, OpSigmaStats, func(ctx context.Context) error {
 			s, err := cl.sites[i].SigmaStats(ctx, spec)
 			if err != nil {
 				return err
@@ -106,7 +106,7 @@ func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *Bl
 			return nil
 		}
 		var batches map[int]*relation.Relation
-		if err := cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
+		if err := cl.callSite(ctx, fs, i, OpExtractBlocksBatch, func(ctx context.Context) error {
 			var err error
 			batches, err = cl.sites[i].ExtractBlocksBatch(ctx, spec, attrs, wanted)
 			return err
@@ -147,7 +147,11 @@ func runBlockPipeline(ctx context.Context, cl *Cluster, fs *faultState, spec *Bl
 		// Detection consumes deposits, so it is not idempotent: callSite
 		// retries it only while failures provably happened before
 		// execution; anything murkier escalates to a unit re-run.
-		return cl.callSite(ctx, fs, j, false, func(ctx context.Context) error {
+		op := OpDetectAssignedSet
+		if restrictSingle {
+			op = OpDetectAssignedSingle
+		}
+		return cl.callSite(ctx, fs, j, op, func(ctx context.Context) error {
 			if restrictSingle {
 				pats, err := cl.sites[j].DetectAssignedSingle(ctx, task, spec, bySite[j], detectCFDs[0])
 				if err != nil {

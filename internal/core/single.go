@@ -50,7 +50,7 @@ func detectConstantsEverywhere(ctx context.Context, cl *Cluster, fs *faultState,
 		if fs.isExcluded(i) {
 			return nil
 		}
-		return cl.callSite(ctx, fs, i, true, func(ctx context.Context) error {
+		return cl.callSite(ctx, fs, i, OpDetectConstantsLocal, func(ctx context.Context) error {
 			pats, err := cl.sites[i].DetectConstantsLocal(ctx, c)
 			if err != nil {
 				return err

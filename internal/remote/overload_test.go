@@ -1,11 +1,12 @@
 // Overload and drain across the wire: the v7 envelope's retry-after
 // param, the per-task deadline stamp, the Drain RPC end to end, and
-// the v6-peer fallback that must never see any of them.
+// the dial-time rejection of a peer without the v7 service.
 package remote
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/rpc"
 	"strings"
@@ -106,7 +107,7 @@ func TestWorkCtxDeadlineStamp(t *testing.T) {
 
 // recordingSiteService answers the handshake at the given version and
 // records every DepositArgs it receives — the fixture for pinning what
-// a driver actually stamps on the wire at each negotiated level.
+// a driver actually stamps on the wire.
 type recordingSiteService struct {
 	schema   *relation.Schema
 	version  int
@@ -176,9 +177,6 @@ func TestDeadlineStampedAtV7(t *testing.T) {
 	}
 	r := sites[0].(*RemoteSite)
 	defer r.Close()
-	if r.Level() != WireVersion {
-		t.Fatalf("negotiated level %d, want %d", r.Level(), WireVersion)
-	}
 
 	batch := workload.Cust(workload.CustConfig{N: 20, Seed: 2})
 	dl := time.Now().Add(time.Minute)
@@ -199,56 +197,36 @@ func TestDeadlineStampedAtV7(t *testing.T) {
 	}
 }
 
-// --- v6-peer interop ---
+// --- v6 peers ---
 
-// TestV6FallbackInterop pins the sanctioned downgrade for the v7
-// additions: against a site that serves only SiteV6, the handshake
-// falls back one step, packed σ-block payloads still ship (they are a
-// v6 feature), the Deadline field is never stamped (a v6 peer has no
-// workCtx to honor it), and the Drain surface fails typed instead of
-// sending an RPC the peer cannot answer.
-func TestV6FallbackInterop(t *testing.T) {
-	svc := &recordingSiteService{schema: workload.CustSchema(), version: PrevWireVersion}
-	addr := startRecordingSite(t, prevServiceName, svc)
-	sites, schema, err := Dial([]string{addr})
-	if err != nil {
-		t.Fatalf("dial with v6 fallback: %v", err)
+// TestV6PeerRejectedAtDial: a site that serves only SiteV6 has no v7
+// service, so Dial fails at once — a permanent version-skew error, no
+// retries, no downgrade — naming both the missing service and this
+// driver's wire version, and nothing is ever sent to the site.
+func TestV6PeerRejectedAtDial(t *testing.T) {
+	svc := &recordingSiteService{schema: workload.CustSchema(), version: 6}
+	addr := startRecordingSite(t, "SiteV6", svc)
+	start := time.Now()
+	_, _, err := DialWithConfig([]string{addr}, DialConfig{DialAttempts: 6, DialBackoff: 400 * time.Millisecond})
+	if err == nil {
+		t.Fatal("dialing a v6-only site must fail")
 	}
-	if !schema.Equal(workload.CustSchema()) {
-		t.Fatal("fallback handshake lost the schema")
+	if _, ok := err.(permanentDialError); !ok {
+		t.Errorf("missing v7 service must be a permanent dial error, got %T: %v", err, err)
 	}
-	r := sites[0].(*RemoteSite)
-	defer r.Close()
-	if r.Level() != PrevWireVersion {
-		t.Fatalf("negotiated level %d, want %d", r.Level(), PrevWireVersion)
+	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
+		t.Errorf("rejection took %v — it retried instead of bailing", elapsed)
 	}
-
-	batch := workload.Cust(workload.CustConfig{N: 2000, Seed: 3})
-	attachPacked(t, batch)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := r.Deposit(ctx, "job/b0", batch, ""); err != nil {
-		t.Fatal(err)
+	msg := err.Error()
+	for _, want := range []string{"version skew", serviceName, fmt.Sprintf("wire version %d", WireVersion)} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("rejection %q does not name %q", msg, want)
+		}
 	}
-	got := svc.recorded(t, 0)
-	if got.Deadline != 0 {
-		t.Errorf("v6 peer saw a deadline stamp %d; the field is v7-only", got.Deadline)
-	}
-	if got.Batch.Packed == nil {
-		t.Error("packed payloads are v6 — the one-step fallback must keep them")
-	}
-
-	if err := r.Drain(ctx); err == nil {
-		t.Fatal("Drain against a v6 peer must fail typed, not send the RPC")
-	} else if !strings.Contains(err.Error(), "wire version") {
-		t.Errorf("Drain rejection should name the wire versions: %v", err)
-	}
-	if r.Draining() {
-		t.Error("a refused Drain must not latch the drain state")
-	}
-	r.Resume() // must be a no-op below v7, not an RPC the peer rejects
-	if r.Draining() {
-		t.Error("Resume below v7 must leave the state alone")
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	if len(svc.deposits) != 0 {
+		t.Errorf("rejected site received %d deposits", len(svc.deposits))
 	}
 }
 
@@ -280,9 +258,6 @@ func drainFixture(t *testing.T, wrap bool) (*RemoteSite, *core.Admission) {
 	}
 	r := sites[0].(*RemoteSite)
 	t.Cleanup(func() { r.Close() })
-	if r.Level() != WireVersion {
-		t.Fatalf("negotiated level %d, want %d", r.Level(), WireVersion)
-	}
 	return r, adm
 }
 

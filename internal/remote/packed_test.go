@@ -1,10 +1,7 @@
 package remote
 
 import (
-	"context"
 	"net"
-	"net/rpc"
-	"sync"
 	"testing"
 
 	"distcfd/internal/cfd"
@@ -84,89 +81,6 @@ func TestWirePackedRoundTrip(t *testing.T) {
 	bad.Packed = &WirePackedRelation{Rows: w.Packed.Rows, ChunkRows: w.Packed.ChunkRows}
 	if _, err := FromWire(&bad); err == nil {
 		t.Error("column-free packed payload for a non-empty schema should fail")
-	}
-}
-
-// legacySiteService mimics a v5 cfdsite: it answers only under the
-// legacy service name and records the Deposit payloads it receives.
-type legacySiteService struct {
-	schema   *relation.Schema
-	mu       sync.Mutex
-	deposits []*WireRelation
-}
-
-func (s *legacySiteService) Info(_ struct{}, reply *InfoReply) error {
-	reply.ID = 0
-	reply.Pred = relation.True()
-	reply.Schema = SchemaToWire(s.schema)
-	reply.Version = LegacyWireVersion
-	return nil
-}
-
-func (s *legacySiteService) Deposit(args DepositArgs, _ *struct{}) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.deposits = append(s.deposits, args.Batch)
-	return nil
-}
-
-// TestLegacyFallbackNeverShipsPacked pins the sanctioned downgrade: a
-// v6 driver dialing a site that serves only SiteV5 falls back to the
-// legacy surface, and deposits to it travel without the Packed field —
-// gob on the old peer would silently drop it and decode an empty
-// relation.
-func TestLegacyFallbackNeverShipsPacked(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	svc := &legacySiteService{schema: workload.CustSchema()}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(legacyServiceName, svc); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-
-	sites, schema, err := Dial([]string{lis.Addr().String()})
-	if err != nil {
-		t.Fatalf("dial with legacy fallback: %v", err)
-	}
-	if !schema.Equal(workload.CustSchema()) {
-		t.Fatal("fallback handshake lost the schema")
-	}
-
-	batch := workload.Cust(workload.CustConfig{N: 2000, Seed: 3})
-	attachPacked(t, batch)
-	if w := ToWire(batch); w.Packed == nil {
-		t.Fatal("precondition: batch should prefer the packed form on a v6 link")
-	}
-	if err := sites[0].Deposit(context.Background(), "job/b0", batch, ""); err != nil {
-		t.Fatal(err)
-	}
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	if len(svc.deposits) != 1 {
-		t.Fatalf("legacy site recorded %d deposits, want 1", len(svc.deposits))
-	}
-	got := svc.deposits[0]
-	if got.Packed != nil {
-		t.Fatal("deposit on a legacy connection carried the Packed field")
-	}
-	back, err := FromWire(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.SameTuples(batch) {
-		t.Error("legacy-form deposit lost data")
 	}
 }
 
